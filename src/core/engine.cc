@@ -165,6 +165,7 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
     streams_.push_back(std::make_unique<VStream>(devices_.back().get()));
   }
   pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(options_.cpu_threads));
+  BuildDenseWeights();
   BuildCpuExperts();
   service_ = std::make_unique<AsyncMoeService>(numa_moe_);
   // Pre-size the MoE forward workspaces at the decode shape so the steady
@@ -206,6 +207,21 @@ void HybridEngine::ChainStreams(VStream* from, VStream* to) {
   from->RecordEvent(event.get());
   to->MemcpyAsync([event] { event->Wait(); },
                   static_cast<std::int64_t>(config_.hidden) * 4, MemcpyDir::kDeviceToDevice);
+}
+
+void HybridEngine::BuildDenseWeights() {
+  // Every weight the vGPU multiplies, packed once for the f32 kernels. The
+  // routed experts are not among them: they live in the CPU expert table.
+  dense_ = std::make_unique<PackedProjection>();
+  for (const LayerWeights& lw : weights_->layers) {
+    for (const Tensor* w : {&lw.attn.wq, &lw.attn.wk, &lw.attn.wv, &lw.attn.w_dq, &lw.attn.w_uq,
+                            &lw.attn.w_dkv, &lw.attn.w_uk, &lw.attn.w_uv, &lw.attn.wo,
+                            &lw.dense_gate, &lw.dense_up, &lw.dense_down, &lw.shared_gate,
+                            &lw.shared_up, &lw.shared_down, &lw.router}) {
+      dense_->Add(*w);
+    }
+  }
+  dense_->Add(weights_->lm_head);
 }
 
 void HybridEngine::BuildCpuExperts() {
@@ -255,7 +271,7 @@ void HybridEngine::BuildCpuExperts() {
 }
 
 void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allow_deferral,
-                                  bool batched) {
+                                  bool batched, bool last_row_logits) {
   const std::int64_t hidden = config_.hidden;
   const int n_def = allow_deferral ? options_.n_deferred : 0;
   const int last_layer = config_.num_layers - 1;
@@ -314,12 +330,12 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
             // KV cache — exactly the sequential m=1 math per row. The layer
             // views (block-table indirection included) are built inside the
             // call, at exec time, so a growing table never recaptures.
-            status = AttentionDecodeBatch(config_, lw->attn, bufs->normed.f32(), m,
+            status = AttentionDecodeBatch(config_, *dense_, lw->attn, bufs->normed.f32(), m,
                                           bufs->row_pos.data(), bufs->row_caches.data(), l,
                                           bufs->attn_out.f32());
           } else {
             const std::int64_t pos = bufs->pos0.load(std::memory_order_relaxed);
-            status = AttentionForward(config_, lw->attn, bufs->normed.f32(), m, pos,
+            status = AttentionForward(config_, *dense_, lw->attn, bufs->normed.f32(), m, pos,
                                       active_cache_->layer(l), bufs->attn_out.f32());
           }
           if (!status.ok()) {
@@ -349,7 +365,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
       stream->Launch(KernelDesc{
           "dense_ffn",
           [this, bufs, lw, ffn_in, live] {
-            DenseFfnAdd(lw->dense_gate, lw->dense_up, lw->dense_down, ffn_in, live(),
+            DenseFfnAdd(*dense_, lw->dense_gate, lw->dense_up, lw->dense_down, ffn_in, live(),
                         config_.hidden, bufs->x.f32());
           },
           0.0, 0.0, options_.gpu_micro_per_op});
@@ -365,7 +381,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
         "gating",
         [this, bufs, lw, p, ffn_in, live] {
           bufs->routing[p] =
-              ComputeRouting(config_, lw->router, lw->router_bias, ffn_in, live());
+              ComputeRouting(config_, *dense_, lw->router, lw->router_bias, ffn_in, live());
         },
         0.0, 0.0, options_.gpu_micro_per_op});
 
@@ -452,7 +468,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
           std::memset(bufs->moe_gpu_out.f32(), 0,
                       static_cast<std::size_t>(m * config_.hidden) * sizeof(float));
           if (config_.n_shared_experts > 0) {
-            DenseFfnAdd(lw->shared_gate, lw->shared_up, lw->shared_down, ffn_in, m,
+            DenseFfnAdd(*dense_, lw->shared_gate, lw->shared_up, lw->shared_down, ffn_in, m,
                         config_.hidden, bufs->moe_gpu_out.f32());
           }
         },
@@ -479,16 +495,19 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
         0.0, 0.0, options_.gpu_micro_per_op});
   }
 
+  // With last_row_logits only row m-1 is normed and projected (prefill reads
+  // nothing else); its bits are those of the full product by row independence.
   stream->Launch(KernelDesc{
       "final_norm_lm_head",
-      [this, bufs, live] {
+      [this, bufs, live, last_row_logits] {
         const std::int64_t m = live();
-        for (std::int64_t t = 0; t < m; ++t) {
+        const std::int64_t first = last_row_logits ? m - 1 : 0;
+        for (std::int64_t t = first; t < m; ++t) {
           RmsNorm(bufs->x.f32() + t * config_.hidden, weights_->final_norm.f32(),
                   bufs->normed.f32() + t * config_.hidden, config_.hidden);
         }
-        RefGemm(bufs->normed.f32(), m, config_.hidden, weights_->lm_head, bufs->logits.f32(),
-                config_.vocab);
+        dense_->Apply(weights_->lm_head, bufs->normed.f32() + first * config_.hidden, m - first,
+                      config_.hidden, bufs->logits.f32() + first * config_.vocab, config_.vocab);
       },
       0.0, 0.0, options_.gpu_micro_per_op});
 }
@@ -527,7 +546,8 @@ StatusOr<std::int64_t> HybridEngine::PrefillChunk(PrefillCursor* cursor) {
   bufs.pos0.store(cache->position());
   // Deferral is disabled in prefill (§4.1: prefill's expert coverage would
   // double the memory footprint).
-  EnqueueForward(&bufs, m, /*allow_deferral=*/false, /*batched=*/false);
+  EnqueueForward(&bufs, m, /*allow_deferral=*/false, /*batched=*/false,
+                 /*last_row_logits=*/true);
   SyncAllStreams();
   KTX_RETURN_IF_ERROR(bufs.TakeAttnStatus().WithContext("prefill chunk"));
   cache->Advance(m);
@@ -617,7 +637,8 @@ StatusOr<Tensor> HybridEngine::RunDecodeBatch(const std::vector<SessionToken>& b
       // slots, so later batches of any width <= capacity reuse this graph.
       KTX_TRACE_SPAN_ARG("engine", "graph_capture", "batch", b);
       streams_[0]->BeginCapture();
-      EnqueueForward(bufs, bufs->m, /*allow_deferral=*/true, /*batched=*/true);
+      EnqueueForward(bufs, bufs->m, /*allow_deferral=*/true, /*batched=*/true,
+                     /*last_row_logits=*/false);
       decode_graph_ = streams_[0]->EndCapture();
       graph_ready_ = true;
       ++counters_.graph_captures;
@@ -625,7 +646,8 @@ StatusOr<Tensor> HybridEngine::RunDecodeBatch(const std::vector<SessionToken>& b
     KTX_TRACE_SPAN_ARG("engine", "graph_replay", "batch", b);
     decode_graph_.Launch(streams_[0].get());
   } else {
-    EnqueueForward(bufs, b, /*allow_deferral=*/true, /*batched=*/true);
+    EnqueueForward(bufs, b, /*allow_deferral=*/true, /*batched=*/true,
+                   /*last_row_logits=*/false);
   }
   SyncAllStreams();
   KTX_RETURN_IF_ERROR(bufs->TakeAttnStatus().WithContext("decode"));
@@ -659,7 +681,8 @@ Tensor HybridEngine::VerifyStep(int session, const std::vector<int>& tokens) {
   bufs.pos0.store(cache->position());
   // Eager multi-token decode: shapes vary per call, so no graph; deferral
   // applies as in single-token decode.
-  EnqueueForward(&bufs, m, /*allow_deferral=*/true, /*batched=*/false);
+  EnqueueForward(&bufs, m, /*allow_deferral=*/true, /*batched=*/false,
+                 /*last_row_logits=*/false);
   SyncAllStreams();
   const Status attn = bufs.TakeAttnStatus();
   KTX_CHECK(attn.ok()) << "KV cache overflow: " << attn.ToString();

@@ -1,9 +1,11 @@
 // The KTransformers hybrid CPU/GPU inference engine (paper §3).
 //
 // Placement follows Fig. 1b: attention, norms, gating, dense FFNs and the
-// shared experts execute as GPU kernels on the vcuda stream; routed experts
-// execute on the CPU through the NUMA-aware fused MoE operator, fed by the
-// asynchronous submit/sync host functions of async_service.h.
+// shared experts execute as GPU kernels on the vcuda stream, their weight
+// products on f32 SIMD kernels over weights packed once at construction
+// (projection.h); routed experts execute on the CPU through the NUMA-aware
+// fused MoE operator, fed by the asynchronous submit/sync host functions of
+// async_service.h.
 //
 // Decode path (§3.3): the entire per-token layer stack — including the
 // submit/sync host callbacks — is captured into ONE vcuda graph on the first
@@ -48,6 +50,7 @@
 #include "src/cpu/kernel_calibrate.h"
 #include "src/gpu/vcuda.h"
 #include "src/model/gating.h"
+#include "src/model/projection.h"
 #include "src/model/reference_model.h"
 
 namespace ktx {
@@ -361,6 +364,8 @@ class HybridEngine {
   // Startup kernel-calibration result. table is empty (and from_cache false)
   // unless options.calibrate_kernels was set.
   const KernelCalibrationResult& kernel_calibration() const { return calibration_; }
+  // The vGPU's packed weight products and the f32 kernel variant they run on.
+  const PackedProjection& dense_projection() const { return *dense_; }
   // Expert placement cache (null when options.placement is disabled).
   const ExpertPlacementManager* expert_cache() const { return placement_.get(); }
   ExpertPlacementManager* expert_cache() { return placement_.get(); }
@@ -370,6 +375,7 @@ class HybridEngine {
  private:
   struct DecodeBuffers;
 
+  void BuildDenseWeights();
   void BuildCpuExperts();
   Status ValidateSession(int session) const;
   std::unique_ptr<KvCache> NewKvCache() const;
@@ -388,7 +394,10 @@ class HybridEngine {
   // `m` is the buffer capacity and every kernel reads the live row count and
   // the per-row (cache, position) table from `bufs` at exec time — the
   // capturable batched-decode shape.
-  void EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allow_deferral, bool batched);
+  // With last_row_logits, lm_head runs for row m-1 only (prefill samples
+  // nothing else); the other logits rows are left unwritten.
+  void EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allow_deferral, bool batched,
+                      bool last_row_logits);
   // Makes decode_bufs_ hold >= rows rows, invalidating the captured graph on
   // growth (batch-1 stays at capacity 1; any wider batch jumps straight to
   // max_batch so growth recaptures at most once).
@@ -412,6 +421,9 @@ class HybridEngine {
   void ChainStreams(VStream* from, VStream* to);
   void SyncAllStreams();
   std::unique_ptr<ThreadPool> pool_;
+  // The vGPU's weight products: attention, dense FFN, shared experts, router
+  // and lm_head, packed once at construction (projection.h).
+  std::unique_ptr<PackedProjection> dense_;
   std::shared_ptr<const NumaMoe> numa_moe_;
   std::unique_ptr<AsyncMoeService> service_;
   // Hot-expert cache; null unless options.placement.enabled. Declared after

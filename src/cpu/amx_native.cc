@@ -494,74 +494,203 @@ void Avx2GemmInt8Impl(const float* x, std::int64_t m, std::int64_t ldx, const Pa
   }
 }
 
-// AVX-512 f32 kernel on the k-major kF32 layout. Per output lane the op
-// sequence is one vfmadd per k step in ascending k order — exactly the
-// std::fma sequence the scalar emulation performs — so results are
-// bit-identical across all three tiers (the expert-cache hot-path identity).
+// f32 kernels on the k-major kF32 layout. Within one n-block the tiles of
+// consecutive k-blocks are adjacent (layout.h), so output lane j of n-block nb
+// reads its weight for k index c at tile_ptr(nb, 0) + c * kNBlock + j. Each
+// pass computes an R-row x N-n-block patch of outputs: one weight vector
+// loaded per (k, n-block) serves R rows, and the R*N independent fma chains
+// hide the fma latency a single chain would wait on. Per output lane the op
+// sequence stays one fma per k step in ascending k order, stopping at k (never
+// touching the zero padding, whose +0 would turn an acc of -0 into +0) —
+// exactly the std::fma sequence of the scalar emulation, so blocking is
+// invisible in the bits and all three tiers stay bit-identical.
+
+// Floats between the first weights of consecutive n-blocks.
+std::int64_t F32NBlockStride(const PackedMatrix& w) {
+  return w.k_blocks() * kKBlockF32 * kNBlock;
+}
+
+template <int R, int N>
 __attribute__((target("avx512f")))
-void Avx512GemmF32Impl(const float* x, std::int64_t m, std::int64_t ldx, const PackedMatrix& w,
-                       float* y, std::int64_t ldy, bool accumulate, std::int64_t nb0,
-                       std::int64_t nb1) {
-  const std::int64_t k = w.k();
-  const std::int64_t k_blocks = w.k_blocks();
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* row = x + i * ldx;
-    for (std::int64_t nb = nb0; nb < nb1; ++nb) {
-      __m512 acc = _mm512_setzero_ps();
-      for (std::int64_t kb = 0; kb < k_blocks; ++kb) {
-        const auto* tile = reinterpret_cast<const float*>(w.tile_ptr(nb, kb));
-        const std::int64_t p_valid =
-            std::min<std::int64_t>(kKBlockF32, k - kb * kKBlockF32);
-        for (std::int64_t p = 0; p < p_valid; ++p) {
-          acc = _mm512_fmadd_ps(_mm512_set1_ps(row[kb * kKBlockF32 + p]),
-                                _mm512_load_ps(tile + p * kNBlock), acc);
-        }
+inline void Avx512F32Patch(const float* x, std::int64_t ldx, const float* wb,
+                           std::int64_t nb_stride, std::int64_t k, std::int64_t n_valid_last,
+                           float* y, std::int64_t ldy, bool accumulate) {
+  __m512 acc[R][N];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int j = 0; j < N; ++j) {
+      acc[r][j] = _mm512_setzero_ps();
+    }
+  }
+  for (std::int64_t c = 0; c < k; ++c) {
+    __m512 wv[N];
+#pragma GCC unroll 8
+    for (int j = 0; j < N; ++j) {
+      wv[j] = _mm512_load_ps(wb + j * nb_stride + c * kNBlock);
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m512 xv = _mm512_set1_ps(x[r * ldx + c]);
+#pragma GCC unroll 8
+      for (int j = 0; j < N; ++j) {
+        acc[r][j] = _mm512_fmadd_ps(xv, wv[j], acc[r][j]);
       }
-      const std::int64_t n0 = nb * kNBlock;
-      const std::int64_t n_valid = std::min<std::int64_t>(kNBlock, w.n() - n0);
-      const __mmask16 mask = static_cast<__mmask16>((1u << n_valid) - 1);
-      float* out = y + i * ldy + n0;
+    }
+  }
+#pragma GCC unroll 8
+  for (int j = 0; j < N; ++j) {
+    const std::int64_t n_valid = j == N - 1 ? n_valid_last : kNBlock;
+    const __mmask16 mask = static_cast<__mmask16>((1u << n_valid) - 1);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      float* out = y + r * ldy + j * kNBlock;
+      __m512 v = acc[r][j];
       if (accumulate) {
-        acc = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, out), acc);
+        v = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, out), v);
       }
-      _mm512_mask_storeu_ps(out, mask, acc);
+      _mm512_mask_storeu_ps(out, mask, v);
     }
   }
 }
 
-// AVX2 f32 kernel: two 8-lane halves walking the identical per-lane fma
-// sequence as the AVX-512 kernel and the scalar emulation.
+// Rows [0, R) of x against n-blocks [nb0, nb1): patches of kN n-blocks, then
+// single n-blocks for the remainder.
+template <int R>
+__attribute__((target("avx512f")))
+void Avx512F32Rows(const float* x, std::int64_t ldx, const PackedMatrix& w, float* y,
+                   std::int64_t ldy, bool accumulate, std::int64_t nb0, std::int64_t nb1) {
+  constexpr int kN = R <= 2 ? 8 : 4;  // R * kN accumulators + kN weights + 1 of 32 zmm
+  const float* base = reinterpret_cast<const float*>(w.tile_ptr(0, 0));
+  const std::int64_t stride = F32NBlockStride(w);
+  const auto n_valid = [&w](std::int64_t nb) {
+    return std::min<std::int64_t>(kNBlock, w.n() - nb * kNBlock);
+  };
+  std::int64_t nb = nb0;
+  for (; nb + kN <= nb1; nb += kN) {
+    Avx512F32Patch<R, kN>(x, ldx, base + nb * stride, stride, w.k(), n_valid(nb + kN - 1),
+                          y + nb * kNBlock, ldy, accumulate);
+  }
+  for (; nb < nb1; ++nb) {
+    Avx512F32Patch<R, 1>(x, ldx, base + nb * stride, stride, w.k(), n_valid(nb),
+                         y + nb * kNBlock, ldy, accumulate);
+  }
+}
+
+__attribute__((target("avx512f")))
+void Avx512GemmF32Impl(const float* x, std::int64_t m, std::int64_t ldx, const PackedMatrix& w,
+                       float* y, std::int64_t ldy, bool accumulate, std::int64_t nb0,
+                       std::int64_t nb1) {
+  std::int64_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    Avx512F32Rows<4>(x + i * ldx, ldx, w, y + i * ldy, ldy, accumulate, nb0, nb1);
+  }
+  switch (m - i) {
+    case 3:
+      Avx512F32Rows<3>(x + i * ldx, ldx, w, y + i * ldy, ldy, accumulate, nb0, nb1);
+      break;
+    case 2:
+      Avx512F32Rows<2>(x + i * ldx, ldx, w, y + i * ldy, ldy, accumulate, nb0, nb1);
+      break;
+    case 1:
+      Avx512F32Rows<1>(x + i * ldx, ldx, w, y + i * ldy, ldy, accumulate, nb0, nb1);
+      break;
+    default:
+      break;
+  }
+}
+
+// AVX2 f32 kernel: the same patch scheme on two 8-lane halves per n-block,
+// walking the identical per-lane fma sequence.
+template <int R, int N>
+__attribute__((target("avx2,fma")))
+inline void Avx2F32Patch(const float* x, std::int64_t ldx, const float* wb,
+                         std::int64_t nb_stride, std::int64_t k, std::int64_t n_valid_last,
+                         float* y, std::int64_t ldy, bool accumulate) {
+  __m256 acc[R][N][2];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int j = 0; j < N; ++j) {
+      acc[r][j][0] = _mm256_setzero_ps();
+      acc[r][j][1] = _mm256_setzero_ps();
+    }
+  }
+  for (std::int64_t c = 0; c < k; ++c) {
+    __m256 lo[N];
+    __m256 hi[N];
+#pragma GCC unroll 8
+    for (int j = 0; j < N; ++j) {
+      lo[j] = _mm256_load_ps(wb + j * nb_stride + c * kNBlock);
+      hi[j] = _mm256_load_ps(wb + j * nb_stride + c * kNBlock + 8);
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 xv = _mm256_set1_ps(x[r * ldx + c]);
+#pragma GCC unroll 8
+      for (int j = 0; j < N; ++j) {
+        acc[r][j][0] = _mm256_fmadd_ps(xv, lo[j], acc[r][j][0]);
+        acc[r][j][1] = _mm256_fmadd_ps(xv, hi[j], acc[r][j][1]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int j = 0; j < N; ++j) {
+    const std::int64_t n_valid = j == N - 1 ? n_valid_last : kNBlock;
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      alignas(32) float out_buf[kNBlock];
+      _mm256_store_ps(out_buf, acc[r][j][0]);
+      _mm256_store_ps(out_buf + 8, acc[r][j][1]);
+      float* out = y + r * ldy + j * kNBlock;
+      for (std::int64_t l = 0; l < n_valid; ++l) {
+        out[l] = accumulate ? out[l] + out_buf[l] : out_buf[l];
+      }
+    }
+  }
+}
+
+template <int R>
+__attribute__((target("avx2,fma")))
+void Avx2F32Rows(const float* x, std::int64_t ldx, const PackedMatrix& w, float* y,
+                 std::int64_t ldy, bool accumulate, std::int64_t nb0, std::int64_t nb1) {
+  constexpr int kN = R <= 2 ? 2 : 1;  // 2 * R * kN accumulators + 2 kN weights + 1 of 16 ymm
+  const float* base = reinterpret_cast<const float*>(w.tile_ptr(0, 0));
+  const std::int64_t stride = F32NBlockStride(w);
+  const auto n_valid = [&w](std::int64_t nb) {
+    return std::min<std::int64_t>(kNBlock, w.n() - nb * kNBlock);
+  };
+  std::int64_t nb = nb0;
+  for (; nb + kN <= nb1; nb += kN) {
+    Avx2F32Patch<R, kN>(x, ldx, base + nb * stride, stride, w.k(), n_valid(nb + kN - 1),
+                        y + nb * kNBlock, ldy, accumulate);
+  }
+  for (; nb < nb1; ++nb) {
+    Avx2F32Patch<R, 1>(x, ldx, base + nb * stride, stride, w.k(), n_valid(nb),
+                       y + nb * kNBlock, ldy, accumulate);
+  }
+}
+
 __attribute__((target("avx2,fma")))
 void Avx2GemmF32Impl(const float* x, std::int64_t m, std::int64_t ldx, const PackedMatrix& w,
                      float* y, std::int64_t ldy, bool accumulate, std::int64_t nb0,
                      std::int64_t nb1) {
-  const std::int64_t k = w.k();
-  const std::int64_t k_blocks = w.k_blocks();
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* row = x + i * ldx;
-    for (std::int64_t nb = nb0; nb < nb1; ++nb) {
-      __m256 acc_lo = _mm256_setzero_ps();  // outputs j = 0..7
-      __m256 acc_hi = _mm256_setzero_ps();  // outputs j = 8..15
-      for (std::int64_t kb = 0; kb < k_blocks; ++kb) {
-        const auto* tile = reinterpret_cast<const float*>(w.tile_ptr(nb, kb));
-        const std::int64_t p_valid =
-            std::min<std::int64_t>(kKBlockF32, k - kb * kKBlockF32);
-        for (std::int64_t p = 0; p < p_valid; ++p) {
-          const __m256 vx = _mm256_set1_ps(row[kb * kKBlockF32 + p]);
-          acc_lo = _mm256_fmadd_ps(vx, _mm256_load_ps(tile + p * kNBlock), acc_lo);
-          acc_hi = _mm256_fmadd_ps(vx, _mm256_load_ps(tile + p * kNBlock + 8), acc_hi);
-        }
-      }
-      const std::int64_t n0 = nb * kNBlock;
-      const std::int64_t n_valid = std::min<std::int64_t>(kNBlock, w.n() - n0);
-      alignas(32) float out_buf[kNBlock];
-      _mm256_store_ps(out_buf, acc_lo);
-      _mm256_store_ps(out_buf + 8, acc_hi);
-      float* out = y + i * ldy + n0;
-      for (std::int64_t j = 0; j < n_valid; ++j) {
-        out[j] = accumulate ? out[j] + out_buf[j] : out_buf[j];
-      }
-    }
+  std::int64_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    Avx2F32Rows<4>(x + i * ldx, ldx, w, y + i * ldy, ldy, accumulate, nb0, nb1);
+  }
+  switch (m - i) {
+    case 3:
+      Avx2F32Rows<3>(x + i * ldx, ldx, w, y + i * ldy, ldy, accumulate, nb0, nb1);
+      break;
+    case 2:
+      Avx2F32Rows<2>(x + i * ldx, ldx, w, y + i * ldy, ldy, accumulate, nb0, nb1);
+      break;
+    case 1:
+      Avx2F32Rows<1>(x + i * ldx, ldx, w, y + i * ldy, ldy, accumulate, nb0, nb1);
+      break;
+    default:
+      break;
   }
 }
 

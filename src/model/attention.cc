@@ -9,7 +9,6 @@
 
 #include "src/common/logging.h"
 #include "src/cpu/activation.h"
-#include "src/cpu/gemm.h"
 
 namespace ktx {
 
@@ -74,8 +73,32 @@ void AttendRow(const std::vector<float>& scores, std::int64_t len,
   }
 }
 
-void GqaForward(const MoeModelConfig& config, const AttentionWeights& w, const float* x,
-                std::int64_t m, std::int64_t pos0, const KvLayerView& cache, float* out) {
+// Rows [row0, row0 + n) of one pass append positions [pos0, pos0 + n) of
+// `cache`. A prefill / verify pass is one segment; a batched decode pass is
+// one single-row segment per session.
+struct Segment {
+  std::int64_t row0 = 0;
+  std::int64_t n = 0;
+  std::int64_t pos0 = 0;
+  KvLayerView cache;
+};
+
+Status CheckCapacity(const MoeModelConfig& config, const Segment& seg) {
+  if (seg.pos0 + seg.n > config.max_seq || seg.pos0 + seg.n > seg.cache.capacity_rows()) {
+    return ResourceExhaustedError(
+        "KV cache overflow: positions [" + std::to_string(seg.pos0) + ", " +
+        std::to_string(seg.pos0 + seg.n) + ") exceed max_seq " + std::to_string(config.max_seq) +
+        " or prepared rows " + std::to_string(seg.cache.capacity_rows()));
+  }
+  return OkStatus();
+}
+
+// The weight products run once over all m rows of the pass; each segment then
+// appends to and attends against its own cache. Row independence of the
+// products (projection.h) makes this bit-identical to one call per segment.
+void GqaForward(const MoeModelConfig& config, const Projection& proj, const AttentionWeights& w,
+                const float* x, std::int64_t m, const std::vector<Segment>& segments,
+                float* out) {
   const std::int64_t hidden = config.hidden;
   const std::int64_t hd = config.head_dim;
   const int heads = config.num_heads;
@@ -85,50 +108,59 @@ void GqaForward(const MoeModelConfig& config, const AttentionWeights& w, const f
   const std::int64_t kv_dim = kv_heads * hd;
 
   std::vector<float> q(static_cast<std::size_t>(m * q_dim));
-  RefGemm(x, m, hidden, w.wq, q.data(), q_dim);
-  // Append new K/V to the cache, with RoPE on K.
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t pos = pos0 + i;
-    float* krow = cache.k_row(pos);
-    float* vrow = cache.v_row(pos);
-    RefGemm(x + i * hidden, 1, hidden, w.wk, krow, kv_dim);
-    RefGemm(x + i * hidden, 1, hidden, w.wv, vrow, kv_dim);
-    for (int h = 0; h < kv_heads; ++h) {
-      ApplyRope(krow + h * hd, hd, pos);
-    }
-    for (int h = 0; h < heads; ++h) {
-      ApplyRope(q.data() + i * q_dim + h * hd, hd, pos);
-    }
-  }
+  std::vector<float> k_new(static_cast<std::size_t>(m * kv_dim));
+  std::vector<float> v_new(static_cast<std::size_t>(m * kv_dim));
+  proj.Apply(w.wq, x, m, hidden, q.data(), q_dim);
+  proj.Apply(w.wk, x, m, hidden, k_new.data(), kv_dim);
+  proj.Apply(w.wv, x, m, hidden, v_new.data(), kv_dim);
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
   std::vector<float> attn_out(static_cast<std::size_t>(m * q_dim));
   std::vector<float> scores;
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t len = pos0 + i + 1;  // causal window
-    scores.resize(static_cast<std::size_t>(len));
-    for (int h = 0; h < heads; ++h) {
-      const int kvh = h / group;
-      const float* qh = q.data() + i * q_dim + h * hd;
-      for (std::int64_t j = 0; j < len; ++j) {
-        const float* kj = cache.k_row(j) + kvh * hd;
-        float dot = 0.0f;
-        for (std::int64_t d = 0; d < hd; ++d) {
-          dot += qh[d] * kj[d];
-        }
-        scores[static_cast<std::size_t>(j)] = dot * scale;
+  for (const Segment& seg : segments) {
+    const KvLayerView& cache = seg.cache;
+    // Append new K/V to the cache, with RoPE on K.
+    for (std::int64_t i = seg.row0; i < seg.row0 + seg.n; ++i) {
+      const std::int64_t pos = seg.pos0 + (i - seg.row0);
+      float* krow = cache.k_row(pos);
+      float* vrow = cache.v_row(pos);
+      const std::size_t row_bytes = static_cast<std::size_t>(kv_dim) * sizeof(float);
+      std::memcpy(krow, k_new.data() + i * kv_dim, row_bytes);
+      std::memcpy(vrow, v_new.data() + i * kv_dim, row_bytes);
+      for (int h = 0; h < kv_heads; ++h) {
+        ApplyRope(krow + h * hd, hd, pos);
       }
-      AttendRow(
-          scores, len,
-          [&](std::int64_t j) { return cache.v_row(j) + kvh * hd; }, hd,
-          attn_out.data() + i * q_dim + h * hd);
+      for (int h = 0; h < heads; ++h) {
+        ApplyRope(q.data() + i * q_dim + h * hd, hd, pos);
+      }
+    }
+    for (std::int64_t i = seg.row0; i < seg.row0 + seg.n; ++i) {
+      const std::int64_t len = seg.pos0 + (i - seg.row0) + 1;  // causal window
+      scores.resize(static_cast<std::size_t>(len));
+      for (int h = 0; h < heads; ++h) {
+        const int kvh = h / group;
+        const float* qh = q.data() + i * q_dim + h * hd;
+        for (std::int64_t j = 0; j < len; ++j) {
+          const float* kj = cache.k_row(j) + kvh * hd;
+          float dot = 0.0f;
+          for (std::int64_t d = 0; d < hd; ++d) {
+            dot += qh[d] * kj[d];
+          }
+          scores[static_cast<std::size_t>(j)] = dot * scale;
+        }
+        AttendRow(
+            scores, len,
+            [&](std::int64_t j) { return cache.v_row(j) + kvh * hd; }, hd,
+            attn_out.data() + i * q_dim + h * hd);
+      }
     }
   }
-  RefGemm(attn_out.data(), m, q_dim, w.wo, out, hidden);
+  proj.Apply(w.wo, attn_out.data(), m, q_dim, out, hidden);
 }
 
-void MlaForward(const MoeModelConfig& config, const AttentionWeights& w, const float* x,
-                std::int64_t m, std::int64_t pos0, const KvLayerView& cache, float* out) {
+void MlaForward(const MoeModelConfig& config, const Projection& proj, const AttentionWeights& w,
+                const float* x, std::int64_t m, const std::vector<Segment>& segments,
+                float* out) {
   const std::int64_t hidden = config.hidden;
   const std::int64_t nope = config.head_dim;
   const std::int64_t rope = config.rope_dim;
@@ -142,96 +174,112 @@ void MlaForward(const MoeModelConfig& config, const AttentionWeights& w, const f
   std::vector<float> q(static_cast<std::size_t>(m * q_dim));
   if (config.q_lora_rank > 0) {
     std::vector<float> cq(static_cast<std::size_t>(m * config.q_lora_rank));
-    RefGemm(x, m, hidden, w.w_dq, cq.data(), config.q_lora_rank);
-    RefGemm(cq.data(), m, config.q_lora_rank, w.w_uq, q.data(), q_dim);
+    proj.Apply(w.w_dq, x, m, hidden, cq.data(), config.q_lora_rank);
+    proj.Apply(w.w_uq, cq.data(), m, config.q_lora_rank, q.data(), q_dim);
   } else {
-    RefGemm(x, m, hidden, w.w_uq, q.data(), q_dim);
+    proj.Apply(w.w_uq, x, m, hidden, q.data(), q_dim);
   }
-
-  // Joint KV compression: [kv_lora | rope] per new position, appended to
-  // cache; RoPE on the decoupled key part and on each query's rope part.
-  std::vector<float> dkv(static_cast<std::size_t>(lora + rope));
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t pos = pos0 + i;
-    RefGemm(x + i * hidden, 1, hidden, w.w_dkv, dkv.data(), lora + rope);
-    std::memcpy(cache.ckv_row(pos), dkv.data(), static_cast<std::size_t>(lora) * sizeof(float));
-    float* krope = cache.k_rope_row(pos);
-    std::memcpy(krope, dkv.data() + lora, static_cast<std::size_t>(rope) * sizeof(float));
-    ApplyRope(krope, rope, pos);
-    for (int h = 0; h < heads; ++h) {
-      ApplyRope(q.data() + i * q_dim + h * qk_head + nope, rope, pos);
-    }
-  }
-
-  // Materialize per-position K(nope)/V from the latent for the whole window.
-  // Each GEMM row depends only on its own latent row, so running the GEMM per
-  // physically-contiguous run (whole window when contiguous, per block when
-  // paged) is bit-identical to one whole-window GEMM.
-  const std::int64_t window = pos0 + m;
-  std::vector<float> k_nope(static_cast<std::size_t>(window * heads * nope));
-  std::vector<float> v_all(static_cast<std::size_t>(window * heads * vd));
-  for (std::int64_t p = 0; p < window;) {
-    const std::int64_t run = cache.run_length(p, window);
-    RefGemm(cache.ckv_row(p), run, lora, w.w_uk, k_nope.data() + p * heads * nope, heads * nope);
-    RefGemm(cache.ckv_row(p), run, lora, w.w_uv, v_all.data() + p * heads * vd, heads * vd);
-    p += run;
-  }
+  // Joint KV compression: [kv_lora | rope] per new position.
+  std::vector<float> dkv(static_cast<std::size_t>(m * (lora + rope)));
+  proj.Apply(w.w_dkv, x, m, hidden, dkv.data(), lora + rope);
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(qk_head));
   std::vector<float> attn_out(static_cast<std::size_t>(m * heads * vd));
+  std::vector<float> k_nope;
+  std::vector<float> v_all;
   std::vector<float> scores;
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t len = pos0 + i + 1;
-    scores.resize(static_cast<std::size_t>(len));
-    for (int h = 0; h < heads; ++h) {
-      const float* qh = q.data() + i * q_dim + h * qk_head;
-      for (std::int64_t j = 0; j < len; ++j) {
-        const float* kj = k_nope.data() + (j * heads + h) * nope;
-        const float* krope = cache.k_rope_row(j);
-        float dot = 0.0f;
-        for (std::int64_t d = 0; d < nope; ++d) {
-          dot += qh[d] * kj[d];
-        }
-        for (std::int64_t d = 0; d < rope; ++d) {
-          dot += qh[nope + d] * krope[d];
-        }
-        scores[static_cast<std::size_t>(j)] = dot * scale;
+  for (const Segment& seg : segments) {
+    const KvLayerView& cache = seg.cache;
+    // Append the latent rows; RoPE on the decoupled key part and on each
+    // query's rope part.
+    for (std::int64_t i = seg.row0; i < seg.row0 + seg.n; ++i) {
+      const std::int64_t pos = seg.pos0 + (i - seg.row0);
+      const float* dkv_row = dkv.data() + i * (lora + rope);
+      std::memcpy(cache.ckv_row(pos), dkv_row, static_cast<std::size_t>(lora) * sizeof(float));
+      float* krope = cache.k_rope_row(pos);
+      std::memcpy(krope, dkv_row + lora, static_cast<std::size_t>(rope) * sizeof(float));
+      ApplyRope(krope, rope, pos);
+      for (int h = 0; h < heads; ++h) {
+        ApplyRope(q.data() + i * q_dim + h * qk_head + nope, rope, pos);
       }
-      AttendRow(
-          scores, len,
-          [&](std::int64_t j) { return v_all.data() + (j * heads + h) * vd; }, vd,
-          attn_out.data() + (i * heads + h) * vd);
+    }
+
+    // Materialize per-position K(nope)/V from the latent for the whole window.
+    // Each GEMM row depends only on its own latent row, so running the GEMM
+    // per physically-contiguous run (whole window when contiguous, per block
+    // when paged) is bit-identical to one whole-window GEMM.
+    const std::int64_t window = seg.pos0 + seg.n;
+    k_nope.resize(static_cast<std::size_t>(window * heads * nope));
+    v_all.resize(static_cast<std::size_t>(window * heads * vd));
+    for (std::int64_t p = 0; p < window;) {
+      const std::int64_t run = cache.run_length(p, window);
+      proj.Apply(w.w_uk, cache.ckv_row(p), run, lora, k_nope.data() + p * heads * nope,
+                 heads * nope);
+      proj.Apply(w.w_uv, cache.ckv_row(p), run, lora, v_all.data() + p * heads * vd,
+                 heads * vd);
+      p += run;
+    }
+
+    for (std::int64_t i = seg.row0; i < seg.row0 + seg.n; ++i) {
+      const std::int64_t len = seg.pos0 + (i - seg.row0) + 1;
+      scores.resize(static_cast<std::size_t>(len));
+      for (int h = 0; h < heads; ++h) {
+        const float* qh = q.data() + i * q_dim + h * qk_head;
+        for (std::int64_t j = 0; j < len; ++j) {
+          const float* kj = k_nope.data() + (j * heads + h) * nope;
+          const float* krope = cache.k_rope_row(j);
+          float dot = 0.0f;
+          for (std::int64_t d = 0; d < nope; ++d) {
+            dot += qh[d] * kj[d];
+          }
+          for (std::int64_t d = 0; d < rope; ++d) {
+            dot += qh[nope + d] * krope[d];
+          }
+          scores[static_cast<std::size_t>(j)] = dot * scale;
+        }
+        AttendRow(
+            scores, len,
+            [&](std::int64_t j) { return v_all.data() + (j * heads + h) * vd; }, vd,
+            attn_out.data() + (i * heads + h) * vd);
+      }
     }
   }
-  RefGemm(attn_out.data(), m, heads * vd, w.wo, out, hidden);
+  proj.Apply(w.wo, attn_out.data(), m, heads * vd, out, hidden);
+}
+
+void SegmentsForward(const MoeModelConfig& config, const Projection& proj,
+                     const AttentionWeights& w, const float* x, std::int64_t m,
+                     const std::vector<Segment>& segments, float* out) {
+  if (config.attention == AttentionKind::kMla) {
+    MlaForward(config, proj, w, x, m, segments, out);
+  } else {
+    GqaForward(config, proj, w, x, m, segments, out);
+  }
 }
 
 }  // namespace
 
-Status AttentionForward(const MoeModelConfig& config, const AttentionWeights& w, const float* x,
-                        std::int64_t m, std::int64_t pos0, const KvLayerView& cache, float* out) {
-  if (pos0 + m > config.max_seq || pos0 + m > cache.capacity_rows()) {
-    return ResourceExhaustedError(
-        "KV cache overflow: positions [" + std::to_string(pos0) + ", " +
-        std::to_string(pos0 + m) + ") exceed max_seq " + std::to_string(config.max_seq) +
-        " or prepared rows " + std::to_string(cache.capacity_rows()));
-  }
-  if (config.attention == AttentionKind::kMla) {
-    MlaForward(config, w, x, m, pos0, cache, out);
-  } else {
-    GqaForward(config, w, x, m, pos0, cache, out);
-  }
+Status AttentionForward(const MoeModelConfig& config, const Projection& proj,
+                        const AttentionWeights& w, const float* x, std::int64_t m,
+                        std::int64_t pos0, const KvLayerView& cache, float* out) {
+  const std::vector<Segment> segments{Segment{0, m, pos0, cache}};
+  KTX_RETURN_IF_ERROR(CheckCapacity(config, segments[0]));
+  SegmentsForward(config, proj, w, x, m, segments, out);
   return OkStatus();
 }
 
-Status AttentionDecodeBatch(const MoeModelConfig& config, const AttentionWeights& w,
-                            const float* x, std::int64_t rows, const std::int64_t* positions,
-                            KvCache* const* caches, int layer, float* out) {
+Status AttentionDecodeBatch(const MoeModelConfig& config, const Projection& proj,
+                            const AttentionWeights& w, const float* x, std::int64_t rows,
+                            const std::int64_t* positions, KvCache* const* caches, int layer,
+                            float* out) {
+  std::vector<Segment> segments;
+  segments.reserve(static_cast<std::size_t>(rows));
   for (std::int64_t r = 0; r < rows; ++r) {
-    KTX_RETURN_IF_ERROR(AttentionForward(config, w, x + r * config.hidden, /*m=*/1, positions[r],
-                                         caches[r]->layer(layer), out + r * config.hidden)
+    segments.push_back(Segment{r, 1, positions[r], caches[r]->layer(layer)});
+    KTX_RETURN_IF_ERROR(CheckCapacity(config, segments.back())
                             .WithContext("decode batch row " + std::to_string(r)));
   }
+  SegmentsForward(config, proj, w, x, rows, segments, out);
   return OkStatus();
 }
 

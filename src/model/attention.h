@@ -1,9 +1,11 @@
 // Reference attention implementations: GQA (Qwen2-style) and MLA
 // (DeepSeek-style multi-head latent attention).
 //
-// These are the f32 ground-truth kernels. In the hybrid engine they run as
-// vcuda GPU kernels (the paper injects FlashInfer's MLA kernel here); the
-// math is identical. The MLA path materializes per-position keys/values from
+// One implementation serves both the f32 reference model and the hybrid
+// engine, where it runs as vcuda GPU kernels (the paper injects FlashInfer's
+// MLA kernel here). The caller passes the Projection (projection.h) its
+// weight products run on: RefModel the double-accumulated RefGemm, the
+// engine its packed f32 SIMD kernels. The MLA path materializes per-position keys/values from
 // the cached latent on every step — the paper's matrix-absorption optimization
 // changes arithmetic cost, not results, so it is modeled in the cost model
 // rather than re-implemented.
@@ -14,6 +16,7 @@
 #include "src/common/status.h"
 #include "src/model/config.h"
 #include "src/model/kv_cache.h"
+#include "src/model/projection.h"
 #include "src/tensor/tensor.h"
 
 namespace ktx {
@@ -46,19 +49,22 @@ void ApplyRope(float* vec, std::int64_t dim, std::int64_t pos);
 // touching the cache — when [pos0, pos0+m) overflows config.max_seq or the
 // view's prepared capacity; engine Try* entry points propagate this instead
 // of aborting.
-Status AttentionForward(const MoeModelConfig& config, const AttentionWeights& w, const float* x,
-                        std::int64_t m, std::int64_t pos0, const KvLayerView& cache, float* out);
+Status AttentionForward(const MoeModelConfig& config, const Projection& proj,
+                        const AttentionWeights& w, const float* x, std::int64_t m,
+                        std::int64_t pos0, const KvLayerView& cache, float* out);
 
 // Batched decode: `rows` independent single-token streams, one per row of
 // x[rows, hidden]. Row r attends against caches[r]->layer(layer) at absolute
-// position positions[r]. Each row runs the exact m=1 AttentionForward math, so
-// outputs are bit-identical to `rows` sequential single-session decode steps
-// in any batch composition. Stops at the first row whose append would
-// overflow (earlier rows' cache writes stand; the caller's position
-// accounting is untouched because positions only advance after a full step).
-Status AttentionDecodeBatch(const MoeModelConfig& config, const AttentionWeights& w,
-                            const float* x, std::int64_t rows, const std::int64_t* positions,
-                            KvCache* const* caches, int layer, float* out);
+// position positions[r]. The weight products run once over all rows; each
+// row then runs the exact m=1 AttentionForward append-and-attend math, so by
+// row independence (projection.h) outputs are bit-identical to `rows`
+// sequential single-session decode steps in any batch composition. Every
+// row's capacity is checked before any cache write: an overflowing row
+// fails the call with no cache touched.
+Status AttentionDecodeBatch(const MoeModelConfig& config, const Projection& proj,
+                            const AttentionWeights& w, const float* x, std::int64_t rows,
+                            const std::int64_t* positions, KvCache* const* caches, int layer,
+                            float* out);
 
 // FLOP / byte estimates for the cost model (per layer, given m new tokens at
 // context length `seq`). Accounts for MLA matrix absorption on the decode

@@ -7,7 +7,6 @@
 
 #include "src/common/logging.h"
 #include "src/cpu/activation.h"
-#include "src/cpu/gemm.h"
 
 namespace ktx {
 
@@ -96,8 +95,9 @@ void GroupedSigmoidTopK(const MoeModelConfig& config, const float* logits, const
 
 }  // namespace
 
-MoeRouting ComputeRouting(const MoeModelConfig& config, const Tensor& router,
-                          const Tensor& bias, const float* x, std::int64_t tokens) {
+MoeRouting ComputeRouting(const MoeModelConfig& config, const Projection& proj,
+                          const Tensor& router, const Tensor& bias, const float* x,
+                          std::int64_t tokens) {
   KTX_CHECK_EQ(router.dim(0), config.num_experts);
   KTX_CHECK_EQ(router.dim(1), config.hidden);
   MoeRouting routing;
@@ -106,16 +106,16 @@ MoeRouting ComputeRouting(const MoeModelConfig& config, const Tensor& router,
   routing.expert_ids.reserve(static_cast<std::size_t>(tokens * config.top_k));
   routing.weights.reserve(static_cast<std::size_t>(tokens * config.top_k));
 
-  std::vector<float> logits(static_cast<std::size_t>(config.num_experts));
+  std::vector<float> logits(static_cast<std::size_t>(tokens * config.num_experts));
+  proj.Apply(router, x, tokens, config.hidden, logits.data(), config.num_experts);
   std::vector<Scored> scored;
   const float* bias_ptr = bias.numel() == config.num_experts ? bias.f32() : nullptr;
   for (std::int64_t t = 0; t < tokens; ++t) {
-    RefGemm(x + t * config.hidden, 1, config.hidden, router, logits.data(),
-            config.num_experts);
+    const float* row = logits.data() + t * config.num_experts;
     if (config.gating == GatingKind::kSoftmaxTopK) {
-      SoftmaxTopK(config, logits.data(), &scored);
+      SoftmaxTopK(config, row, &scored);
     } else {
-      GroupedSigmoidTopK(config, logits.data(), bias_ptr, &scored);
+      GroupedSigmoidTopK(config, row, bias_ptr, &scored);
     }
     // Slots ordered by descending selection score (deferral depends on this).
     std::sort(scored.begin(), scored.end(),

@@ -16,15 +16,18 @@
 
 #include "src/cpu/moe_cpu.h"
 #include "src/model/config.h"
+#include "src/model/projection.h"
 #include "src/tensor/tensor.h"
 
 namespace ktx {
 
 // Computes routing for `tokens` rows of x (f32, [tokens, hidden]).
 // `router` is [num_experts, hidden]; `bias` is [num_experts] (grouped gating
-// selection bias; pass an empty tensor when unused).
-MoeRouting ComputeRouting(const MoeModelConfig& config, const Tensor& router,
-                          const Tensor& bias, const float* x, std::int64_t tokens);
+// selection bias; pass an empty tensor when unused). The router logits are
+// one `proj` product over all rows.
+MoeRouting ComputeRouting(const MoeModelConfig& config, const Projection& proj,
+                          const Tensor& router, const Tensor& bias, const float* x,
+                          std::int64_t tokens);
 
 }  // namespace ktx
 

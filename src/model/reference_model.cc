@@ -12,20 +12,17 @@
 namespace ktx {
 
 // out[tokens, hidden] += SwiGLU dense FFN of x.
-void DenseFfnAdd(const Tensor& gate, const Tensor& up, const Tensor& down, const float* x,
-                 std::int64_t tokens, std::int64_t hidden, float* out) {
+void DenseFfnAdd(const Projection& proj, const Tensor& gate, const Tensor& up, const Tensor& down,
+                 const float* x, std::int64_t tokens, std::int64_t hidden, float* out) {
   const std::int64_t inter = gate.dim(0);
-  std::vector<float> g(static_cast<std::size_t>(inter));
-  std::vector<float> u(static_cast<std::size_t>(inter));
-  std::vector<float> a(static_cast<std::size_t>(inter));
-  std::vector<float> o(static_cast<std::size_t>(hidden));
-  for (std::int64_t t = 0; t < tokens; ++t) {
-    RefGemm(x + t * hidden, 1, hidden, gate, g.data(), inter);
-    RefGemm(x + t * hidden, 1, hidden, up, u.data(), inter);
-    SiluMul(g.data(), u.data(), a.data(), inter);
-    RefGemm(a.data(), 1, inter, down, o.data(), hidden);
-    AddInPlace(out + t * hidden, o.data(), hidden);
-  }
+  std::vector<float> g(static_cast<std::size_t>(tokens * inter));
+  std::vector<float> u(static_cast<std::size_t>(tokens * inter));
+  std::vector<float> o(static_cast<std::size_t>(tokens * hidden));
+  proj.Apply(gate, x, tokens, hidden, g.data(), inter);
+  proj.Apply(up, x, tokens, hidden, u.data(), inter);
+  SiluMul(g.data(), u.data(), g.data(), tokens * inter);
+  proj.Apply(down, g.data(), tokens, inter, o.data(), hidden);
+  AddInPlace(out, o.data(), tokens * hidden);
 }
 
 RefModel::RefModel(MoeModelConfig config, std::shared_ptr<const ModelWeights> weights)
@@ -68,8 +65,8 @@ Tensor RefModel::Forward(const std::vector<int>& tokens, KvCache* cache,
       RmsNorm(x.f32() + t * hidden, lw.attn_norm.f32(), normed.f32() + t * hidden, hidden);
     }
     const Status attn =
-        AttentionForward(config_, lw.attn, normed.f32(), m, pos0, cache->layer(l),
-                         attn_out.f32());
+        AttentionForward(config_, RefProjection(), lw.attn, normed.f32(), m, pos0,
+                         cache->layer(l), attn_out.f32());
     KTX_CHECK(attn.ok()) << "KV cache overflow: " << attn.ToString();
     AddInPlace(x.f32(), attn_out.f32(), m * hidden);
 
@@ -78,18 +75,19 @@ Tensor RefModel::Forward(const std::vector<int>& tokens, KvCache* cache,
       RmsNorm(x.f32() + t * hidden, lw.ffn_norm.f32(), normed.f32() + t * hidden, hidden);
     }
     if (!config_.is_moe_layer(l)) {
-      DenseFfnAdd(lw.dense_gate, lw.dense_up, lw.dense_down, normed.f32(), m, hidden, x.f32());
+      DenseFfnAdd(RefProjection(), lw.dense_gate, lw.dense_up, lw.dense_down, normed.f32(), m,
+                  hidden, x.f32());
       continue;
     }
 
     // MoE layer. `normed` is I_k.
     Tensor moe_out({m, hidden}, DType::kF32);
     if (config_.n_shared_experts > 0) {
-      DenseFfnAdd(lw.shared_gate, lw.shared_up, lw.shared_down, normed.f32(), m, hidden,
-               moe_out.f32());
+      DenseFfnAdd(RefProjection(), lw.shared_gate, lw.shared_up, lw.shared_down, normed.f32(),
+                  m, hidden, moe_out.f32());
     }
     const MoeRouting routing =
-        ComputeRouting(config_, lw.router, lw.router_bias, normed.f32(), m);
+        ComputeRouting(config_, RefProjection(), lw.router, lw.router_bias, normed.f32(), m);
 
     const bool is_last = l == last_moe_layer;
     const int affected = options.n_deferred;

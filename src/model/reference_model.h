@@ -1,7 +1,11 @@
 // Reference fp32 transformer: the functional ground truth.
 //
 // Runs the full architecture (RMSNorm, GQA/MLA attention with KV cache,
-// dense + MoE FFNs with shared experts, gating) in plain f32. It also
+// dense + MoE FFNs with shared experts, gating) in plain f32, with every
+// weight product on RefGemm (double accumulation). The hybrid engine shares
+// the layer code but runs its products on packed f32 SIMD kernels
+// (projection.h); keeping the reference on RefGemm keeps it independent of
+// every kernel under test. It also
 // implements the Expert Deferral formula of §4.1 *directly* — the hybrid
 // engine's asynchronous implementation is tested against this:
 //
@@ -20,6 +24,7 @@
 
 #include "src/model/config.h"
 #include "src/model/kv_cache.h"
+#include "src/model/projection.h"
 #include "src/model/weights.h"
 
 namespace ktx {
@@ -58,10 +63,11 @@ class RefModel {
 int ArgmaxLastToken(const Tensor& logits);
 
 // out[tokens, hidden] += SwiGLU(x W_gate^T, x W_up^T) W_down^T — the dense /
-// shared-expert FFN. Shared by the reference model and the hybrid engine's
-// GPU-side shared-expert kernel.
-void DenseFfnAdd(const Tensor& gate, const Tensor& up, const Tensor& down, const float* x,
-                 std::int64_t tokens, std::int64_t hidden, float* out);
+// shared-expert FFN, one `proj` product over all rows per weight. Shared by
+// the reference model and the hybrid engine's GPU-side dense and
+// shared-expert kernels.
+void DenseFfnAdd(const Projection& proj, const Tensor& gate, const Tensor& up, const Tensor& down,
+                 const float* x, std::int64_t tokens, std::int64_t hidden, float* out);
 
 }  // namespace ktx
 

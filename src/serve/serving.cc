@@ -64,6 +64,8 @@ ServingLoop::ServingLoop(HybridEngine* engine, ServingOptions options)
   KTX_CHECK(engine_ != nullptr);
   KTX_CHECK_GE(options_.max_concurrent, 1);
   KTX_CHECK_GE(options_.max_queue, 1);
+  // The engine's pre-made session 0 serves requests like any other.
+  free_sessions_.push_back(0);
 }
 
 ServingLoop::ServingLoop(HybridEngine* engine, int max_concurrent, bool batched_decode)
@@ -381,22 +383,33 @@ bool ServingLoop::AdmitPending(std::size_t index) {
     ExpireQueued(std::move(pending), waited_s);
     return true;
   }
-  trace::EmitAsyncEnd("request", "queued", pending.id);
-  Active active(pending.id, std::move(pending.request));
-  active.result.preemptions = pending.preemptions;
+  int session = -1;
   if (free_sessions_.empty()) {
-    auto session = engine_->TryCreateSession();
-    if (!session.ok()) {
-      Reject(active.id, active.request, session.status().WithContext("admission"),
+    auto created = engine_->TryCreateSession();
+    if (!created.ok()) {
+      // At the engine's max_sessions bound a request in flight will pool its
+      // session when it retires: wait for it at the head, as the KV-pool
+      // path below does. Reject only when nothing in flight can free one.
+      if (created.status().code() == StatusCode::kResourceExhausted &&
+          !(prefilling_.empty() && active_.empty())) {
+        queue_.push_front(std::move(pending));
+        return false;
+      }
+      trace::EmitAsyncEnd("request", "queued", pending.id);
+      Reject(pending.id, pending.request, created.status().WithContext("admission"),
              FinishReason::kRejected, waited_s);
       return true;
     }
-    active.session = *session;
+    session = *created;
   } else {
-    active.session = free_sessions_.back();
+    session = free_sessions_.back();
     free_sessions_.pop_back();
-    engine_->Reset(active.session);
+    engine_->Reset(session);
   }
+  trace::EmitAsyncEnd("request", "queued", pending.id);
+  Active active(pending.id, std::move(pending.request));
+  active.result.preemptions = pending.preemptions;
+  active.session = session;
   active.result.id = active.id;
   active.result.prompt_tokens = static_cast<std::int64_t>(active.request.prompt.size());
   active.clock = pending.submitted;  // metrics are measured from Submit

@@ -3,7 +3,11 @@
 //
 // Requests wait in a bounded admission queue; the loop admits up to
 // `max_concurrent` generations, each on its own engine session (independent
-// KV cache over the shared weights and captured decode graph). Decoding is
+// KV cache over the shared weights and captured decode graph). Sessions are
+// pooled: the engine's session 0 is the first handed out, and new ones are
+// created up to EngineOptions::max_sessions; at that bound an admission
+// waits for an in-flight request to pool its session. The loop owns every
+// session it hands out, session 0 included. Decoding is
 // *continuous batching*: every iteration admits into free slots, decodes ALL
 // decoding requests in one HybridEngine::DecodeBatch call (one graph replay,
 // one MoE request per layer for the whole batch), and retires finished rows

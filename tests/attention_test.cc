@@ -71,7 +71,9 @@ TEST_P(AttentionKindTest, SinglePositionIsValueProjection) {
   Tensor x = Tensor::Randn({1, config.hidden}, rng, 0.5f);
   KvCache cache(config);
   Tensor out({1, config.hidden}, DType::kF32);
-  ASSERT_TRUE(AttentionForward(config, w, x.f32(), 1, 0, cache.layer(0), out.f32()).ok());
+  ASSERT_TRUE(
+      AttentionForward(config, RefProjection(), w, x.f32(), 1, 0, cache.layer(0), out.f32())
+          .ok());
 
   // Recompute v for position 0 and project.
   const std::int64_t v_dim = config.attention == AttentionKind::kMla
@@ -114,7 +116,8 @@ TEST_P(AttentionKindTest, CausalityFutureTokensDoNotAffectPast) {
 
   KvCache c1(config);
   Tensor out1({4, config.hidden}, DType::kF32);
-  ASSERT_TRUE(AttentionForward(config, w, x.f32(), 4, 0, c1.layer(0), out1.f32()).ok());
+  ASSERT_TRUE(
+      AttentionForward(config, RefProjection(), w, x.f32(), 4, 0, c1.layer(0), out1.f32()).ok());
 
   // Perturb the last token only.
   Tensor x2 = x.Clone();
@@ -123,7 +126,8 @@ TEST_P(AttentionKindTest, CausalityFutureTokensDoNotAffectPast) {
   }
   KvCache c2(config);
   Tensor out2({4, config.hidden}, DType::kF32);
-  ASSERT_TRUE(AttentionForward(config, w, x2.f32(), 4, 0, c2.layer(0), out2.f32()).ok());
+  ASSERT_TRUE(
+      AttentionForward(config, RefProjection(), w, x2.f32(), 4, 0, c2.layer(0), out2.f32()).ok());
 
   // Rows 0..2 identical; row 3 changed.
   for (std::int64_t t = 0; t < 3; ++t) {
@@ -148,12 +152,14 @@ TEST_P(AttentionKindTest, IncrementalMatchesBatched) {
 
   KvCache batched(config);
   Tensor out_b({5, config.hidden}, DType::kF32);
-  ASSERT_TRUE(AttentionForward(config, w, x.f32(), 5, 0, batched.layer(0), out_b.f32()).ok());
+  ASSERT_TRUE(AttentionForward(config, RefProjection(), w, x.f32(), 5, 0, batched.layer(0),
+                               out_b.f32())
+                  .ok());
 
   KvCache inc(config);
   Tensor out_i({5, config.hidden}, DType::kF32);
   for (std::int64_t t = 0; t < 5; ++t) {
-    ASSERT_TRUE(AttentionForward(config, w, x.f32() + t * config.hidden, 1, t,
+    ASSERT_TRUE(AttentionForward(config, RefProjection(), w, x.f32() + t * config.hidden, 1, t,
                                  inc.layer(0), out_i.f32() + t * config.hidden)
                     .ok());
   }

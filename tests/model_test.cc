@@ -62,7 +62,7 @@ TEST(GatingTest, SoftmaxTopKSelectsHighestLogits) {
   }
   Tensor x = Tensor::Full({1, 4}, 0.0f);
   x.f32()[0] = 1.0f;
-  const MoeRouting r = ComputeRouting(c, router, Tensor(), x.f32(), 1);
+  const MoeRouting r = ComputeRouting(c, RefProjection(), router, Tensor(), x.f32(), 1);
   EXPECT_EQ(r.id(0, 0), 5);  // highest logit first
   EXPECT_EQ(r.id(0, 1), 4);
   EXPECT_GT(r.weight(0, 0), r.weight(0, 1));
@@ -73,7 +73,7 @@ TEST(GatingTest, WeightsSumToScalingFactor) {
   Rng rng(1);
   Tensor router = Tensor::Randn({c.num_experts, c.hidden}, rng);
   Tensor x = Tensor::Randn({5, c.hidden}, rng);
-  const MoeRouting r = ComputeRouting(c, router, Tensor(), x.f32(), 5);
+  const MoeRouting r = ComputeRouting(c, RefProjection(), router, Tensor(), x.f32(), 5);
   for (std::int64_t t = 0; t < 5; ++t) {
     float sum = 0.0f;
     std::set<int> ids;
@@ -93,7 +93,7 @@ TEST(GatingTest, GroupedGatingRespectsGroupLimit) {
   Tensor router = Tensor::Randn({c.num_experts, c.hidden}, rng);
   Tensor bias = Tensor::Randn({c.num_experts}, rng, 0.01f);
   Tensor x = Tensor::Randn({8, c.hidden}, rng);
-  const MoeRouting r = ComputeRouting(c, router, bias, x.f32(), 8);
+  const MoeRouting r = ComputeRouting(c, RefProjection(), router, bias, x.f32(), 8);
   const int per_group = c.num_experts / c.n_group;
   for (std::int64_t t = 0; t < 8; ++t) {
     std::set<int> groups;
@@ -109,7 +109,7 @@ TEST(GatingTest, GroupedWeightsNormalizedOverSelection) {
   Rng rng(3);
   Tensor router = Tensor::Randn({c.num_experts, c.hidden}, rng);
   Tensor x = Tensor::Randn({3, c.hidden}, rng);
-  const MoeRouting r = ComputeRouting(c, router, Tensor(), x.f32(), 3);
+  const MoeRouting r = ComputeRouting(c, RefProjection(), router, Tensor(), x.f32(), 3);
   for (std::int64_t t = 0; t < 3; ++t) {
     float sum = 0.0f;
     for (int s = 0; s < c.top_k; ++s) {
@@ -124,7 +124,7 @@ TEST(GatingTest, SlotsSortedByDescendingScore) {
     Rng rng(4);
     Tensor router = Tensor::Randn({c.num_experts, c.hidden}, rng);
     Tensor x = Tensor::Randn({4, c.hidden}, rng);
-    const MoeRouting r = ComputeRouting(c, router, Tensor(), x.f32(), 4);
+    const MoeRouting r = ComputeRouting(c, RefProjection(), router, Tensor(), x.f32(), 4);
     for (std::int64_t t = 0; t < 4; ++t) {
       for (int s = 1; s < c.top_k; ++s) {
         // Weights track scores monotonically within a token for both gatings.

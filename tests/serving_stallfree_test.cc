@@ -214,9 +214,9 @@ TEST(ServingStallFreeTest, MidPrefillSessionFaultRetiresOnlyPrefillingRow) {
   sopts.prefill_budget_tokens = 4;
   ServingLoop loop(&engine, sopts);
 
-  loop.Submit(Req({3, 1, 4}, 8));       // admits first -> session 1
-  loop.Submit(Req(Prompt(16), 4));      // admits second -> session 2
-  engine.InjectSessionFault(2, InternalError("vcuda: injected ECC error"),
+  loop.Submit(Req({3, 1, 4}, 8));       // admits first -> session 0
+  loop.Submit(Req(Prompt(16), 4));      // admits second -> session 1
+  engine.InjectSessionFault(1, InternalError("vcuda: injected ECC error"),
                             /*after_polls=*/2);
   const auto results = loop.RunToCompletion();
   ASSERT_EQ(results.size(), 2u);

@@ -400,10 +400,10 @@ TEST(ServingLifecycleTest, InjectedSessionFaultRetiresOnlyThatRequest) {
   for (const auto& prompt : prompts) {
     loop.Submit(Req(prompt, 8));
   }
-  // Requests admit in submit order onto fresh sessions 1..4; arm the fault
-  // for request 3 (session 3), firing on the 4th per-sweep poll so it lands
-  // mid-generation.
-  f.engine->InjectSessionFault(3, InternalError("injected vcuda fault"), /*after_polls=*/3);
+  // Requests admit in submit order onto the engine's session 0, then fresh
+  // sessions 1..3; arm the fault for request 3 (session 2), firing on the 4th
+  // per-sweep poll so it lands mid-generation.
+  f.engine->InjectSessionFault(2, InternalError("injected vcuda fault"), /*after_polls=*/3);
 
   const auto results = loop.RunToCompletion();
   ASSERT_EQ(results.size(), 4u);
@@ -524,23 +524,53 @@ TEST(ServingLifecycleTest, PagedPoolPressureRetiresYoungestRowMidGeneration) {
   EXPECT_GT(loop.stats().kv_utilization, 0.0);
 }
 
-TEST(ServingLifecycleTest, SessionPoolExhaustionRejectsInsteadOfAborting) {
+TEST(ServingLifecycleTest, SessionPoolExhaustionWaitsForARetiringSession) {
+  // At the max_sessions bound a queued request waits for an in-flight one to
+  // pool its session instead of being rejected; the engine's session 0 counts
+  // as one of the bound's sessions and serves requests like any other.
   Fixture f;
   EngineOptions opts;
-  opts.max_sessions = 2;  // built-in session 0 + one serving session
+  opts.max_sessions = 1;
   HybridEngine engine(f.config, f.weights, opts);
   ServingLoop loop(&engine, 2);
   loop.Submit(Req({1, 2}, 4));
   loop.Submit(Req({7, 8}, 4));
   const auto results = loop.RunToCompletion();
   ASSERT_EQ(results.size(), 2u);
-  const auto& admitted = results[0].id == 1 ? results[0] : results[1];
-  const auto& rejected = results[0].id == 2 ? results[0] : results[1];
-  EXPECT_TRUE(admitted.ok);
-  EXPECT_FALSE(rejected.ok);
-  EXPECT_EQ(rejected.finish_reason, FinishReason::kRejected);
-  EXPECT_EQ(rejected.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(engine.num_sessions(), 2);
+  for (const GenerationResult& r : results) {
+    EXPECT_TRUE(r.ok) << r.status.ToString();
+  }
+  EXPECT_EQ(loop.stats().requests_rejected, 0);
+  EXPECT_EQ(engine.num_sessions(), 1);
+}
+
+TEST(ServingLifecycleTest, FullSessionBoundServesEveryQueuedRequest) {
+  // max_sessions = max_concurrent = 8 with 32 queued requests: eight run at
+  // once (session 0 plus seven created), the rest wait for retirements, and
+  // every stream is bit-identical to its solo run.
+  Fixture f;
+  EngineOptions opts;
+  opts.max_sessions = 8;
+  opts.max_batch = 8;
+  HybridEngine engine(f.config, f.weights, opts);
+  ServingLoop loop(&engine, 8);
+  std::vector<std::vector<int>> prompts;
+  for (int i = 0; i < 32; ++i) {
+    prompts.push_back({1 + i % 5, 2 + i % 7, 3 + i % 11});
+    loop.Submit(Req(prompts.back(), 3 + i % 4));
+  }
+  const auto results = loop.RunToCompletion();
+  ASSERT_EQ(results.size(), 32u);
+  EXPECT_EQ(loop.stats().requests_rejected, 0);
+  EXPECT_EQ(loop.stats().peak_concurrency, 8);
+  EXPECT_EQ(engine.num_sessions(), 8);
+  HybridEngine solo(f.config, f.weights, EngineOptions{});
+  for (const GenerationResult& r : results) {
+    ASSERT_TRUE(r.ok) << r.status.ToString();
+    const auto i = static_cast<std::size_t>(r.id - 1);
+    EXPECT_EQ(r.tokens, solo.GenerateGreedy(prompts[i], 3 + static_cast<int>(i) % 4))
+        << "request " << r.id;
+  }
 }
 
 TEST(ServingLifecycleTest, WholeBatchBackendFaultRetiresSweepAndLoopRecovers) {
